@@ -1,6 +1,8 @@
 //! Client-side local training (the paper's `EncClient`, Algorithm 1
 //! lines 15–23 / Algorithm 6 lines 15–24).
 
+use std::cell::RefCell;
+
 use olive_data::Dataset;
 use olive_nn::Model;
 use rand::rngs::SmallRng;
@@ -35,6 +37,13 @@ impl ClientConfig {
             clip: None,
         }
     }
+}
+
+thread_local! {
+    /// The d-sized delta buffer: it grows to the largest model the thread
+    /// has trained and is then reused, so a worker's steady-state client
+    /// update allocates only its output.
+    static DELTA: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Runs local training from `global_params` on `data` and returns the
@@ -76,9 +85,13 @@ pub fn local_update(
             s = e;
         }
     }
-    let local = model.get_params();
-    let delta: Vec<f32> = local.iter().zip(global_params.iter()).map(|(l, g)| l - g).collect();
-    let mut sparse = SparseGradient::from_dense(&delta, cfg.sparsifier, &mut rng);
+    let mut sparse = DELTA.with_borrow_mut(|delta| {
+        model.read_params_into(delta);
+        for (l, g) in delta.iter_mut().zip(global_params) {
+            *l -= g;
+        }
+        SparseGradient::from_dense(delta, cfg.sparsifier, &mut rng)
+    });
     if let Some(c) = cfg.clip {
         sparse.clip_l2(c);
     }
@@ -181,6 +194,38 @@ mod tests {
         let i1 = local_update(&mut model, &params, &d1, &cfg, 1).indices;
         let overlap = i0.iter().filter(|i| i1.contains(i)).count();
         assert!(overlap < i0.len(), "index sets should differ across labels");
+    }
+
+    /// Bit-exact fingerprint of an update (`==` would equate ±0).
+    fn bits(sg: &SparseGradient) -> (usize, Vec<u32>, Vec<u32>) {
+        (sg.dense_dim, sg.indices.clone(), sg.values.iter().map(|v| v.to_bits()).collect())
+    }
+
+    #[test]
+    fn reused_buffers_do_not_leak_between_clients() {
+        // Client A on a small model, client B on a larger one (as the
+        // attack's teacher path mixes models on one thread), then A again:
+        // every result must equal the same client run on a fresh thread,
+        // whose per-thread buffers start empty.
+        let gen = Generator::new(SyntheticConfig::tiny(16, 4), 5);
+        let mut rng = SmallRng::seed_from_u64(0);
+        let clients = [(1, mlp(16, 8, 4, 0.0, 3), 0.1), (3, mlp(16, 40, 4, 0.0, 4), 0.3)].map(
+            |(label, model, alpha)| {
+                let params = model.get_params();
+                let cfg = ClientConfig::with_top_ratio(params.len(), alpha);
+                (model, params, gen.sample_class(label, 12, &mut rng), cfg)
+            },
+        );
+        let run = |c: &(Model, Vec<f32>, Dataset, ClientConfig)| {
+            bits(&local_update(&mut c.0.clone(), &c.1, &c.2, &c.3, 11))
+        };
+        let fresh: Vec<_> = clients
+            .iter()
+            .map(|c| std::thread::scope(|s| s.spawn(|| run(c)).join().expect("client panicked")))
+            .collect();
+        for i in [0, 1, 0, 1] {
+            assert_eq!(run(&clients[i]), fresh[i], "client {i} after reuse");
+        }
     }
 
     #[test]

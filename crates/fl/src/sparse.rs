@@ -7,6 +7,8 @@
 //! leaks nothing by construction; threshold keeps everything above a
 //! magnitude cutoff (variable k, ref. 65).
 
+use std::cell::RefCell;
+
 use rand::Rng;
 
 /// A sparsified gradient: `k` of `d` coordinates as parallel index/value
@@ -26,6 +28,10 @@ pub struct SparseGradient {
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Sparsifier {
     /// Keep the k largest-|value| coordinates (data-dependent, leaky).
+    /// Ranking is |value| descending under `f32::total_cmp` (NaN above
+    /// ±∞), then index ascending, so the kept set is a function of the
+    /// dense vector alone: of two tied magnitudes straddling the k-th
+    /// place, the lower index is kept.
     TopK(usize),
     /// Keep k uniformly random coordinates (data-independent: the index
     /// set is uncorrelated with training data, so index leakage is
@@ -41,19 +47,13 @@ impl SparseGradient {
         self.indices.len()
     }
 
-    /// Applies a sparsification policy to a dense vector.
+    /// Applies a sparsification policy to a dense vector. Top-k selection
+    /// runs in expected O(d) on buffers each thread keeps between calls.
     pub fn from_dense<R: Rng>(dense: &[f32], policy: Sparsifier, rng: &mut R) -> Self {
         let d = dense.len();
         let mut idxs: Vec<u32> = match policy {
             Sparsifier::TopK(k) => {
-                let k = k.min(d);
-                let mut order: Vec<u32> = (0..d as u32).collect();
-                // Partial selection by |value| descending: O(d + k log k).
-                order.select_nth_unstable_by(k.saturating_sub(1).min(d - 1), |&a, &b| {
-                    dense[b as usize].abs().total_cmp(&dense[a as usize].abs())
-                });
-                order.truncate(k);
-                order
+                TOPK_SCRATCH.with_borrow_mut(|scratch| top_k_indices(dense, k, scratch))
             }
             Sparsifier::RandomK(k) => {
                 let k = k.min(d);
@@ -162,6 +162,98 @@ pub fn cell_parts(cell: u64) -> (u32, f32) {
     ((cell >> 32) as u32, f32::from_bits(cell as u32))
 }
 
+/// Reusable buffers for [`Sparsifier::TopK`] selection: about 4 096
+/// sampled keys and, typically, about 1.5k threshold survivors (up to d
+/// when ties crowd the threshold).
+#[derive(Default)]
+struct TopKScratch {
+    /// Strided sample of keys for the threshold estimate.
+    sample: Vec<u32>,
+    /// Threshold survivors, packed `(key << 32) | !index`.
+    survivors: Vec<u64>,
+}
+
+thread_local! {
+    static TOPK_SCRATCH: RefCell<TopKScratch> = RefCell::default();
+}
+
+/// Target size of the strided sample behind the threshold estimate.
+const TOPK_SAMPLE: usize = 4096;
+
+/// Block length of the threshold pass: each block's keys are tested
+/// against the threshold branch-free (this vectorizes) and only blocks
+/// holding a survivor are scanned.
+const TOPK_BLOCK: usize = 64;
+
+/// Sort key of |v|: its bits with the sign cleared. As a `u32` this orders
+/// exactly as `v.abs().total_cmp`, NaN and ±∞ included.
+#[inline]
+fn abs_key(v: f32) -> u32 {
+    v.to_bits() & 0x7fff_ffff
+}
+
+/// The top-k index set of `dense` under the [`Sparsifier::TopK`] ranking,
+/// in no particular order. Expected O(d):
+///
+/// 1. a threshold key is read off a strided sample of about
+///    [`TOPK_SAMPLE`] keys, placed so about 1.5k coordinates reach it;
+/// 2. one pass keeps every coordinate whose key reaches the threshold,
+///    packed as `(key << 32) | !index` so that one `u64` comparison is the
+///    whole ranking; with fewer than k survivors the threshold is lowered
+///    and the pass repeated (rare);
+/// 3. an exact selection over the survivors picks the k largest cells.
+///
+/// Exact whatever the estimate: any k survivors all reach the threshold,
+/// so every member of the true top k does too.
+fn top_k_indices(dense: &[f32], k: usize, scratch: &mut TopKScratch) -> Vec<u32> {
+    let d = dense.len();
+    if k >= d {
+        return (0..d as u32).collect();
+    }
+    if k == 0 {
+        return Vec::new();
+    }
+    let TopKScratch { sample, survivors } = scratch;
+    sample.clear();
+    sample.extend(dense.iter().step_by((d / TOPK_SAMPLE).max(1)).map(|&v| abs_key(v)));
+    // Sample rank of the k-th largest, plus 50% and three standard
+    // deviations of headroom.
+    let expect = k as f64 * sample.len() as f64 / d as f64;
+    let mut rank = (1.5 * expect + 3.0 * expect.sqrt()) as usize + 1;
+    loop {
+        let threshold = if rank < sample.len() {
+            *sample.select_nth_unstable_by(rank, |a, b| b.cmp(a)).1
+        } else {
+            0
+        };
+        survivors.clear();
+        for (b, block) in dense.chunks(TOPK_BLOCK).enumerate() {
+            // Keys fit in 31 bits, so the signed compare (SSE2 has no
+            // unsigned one) orders them exactly.
+            let hits = block
+                .iter()
+                .fold(0u32, |n, &v| n + u32::from(abs_key(v) as i32 >= threshold as i32));
+            if hits == 0 {
+                continue;
+            }
+            let base = (b * TOPK_BLOCK) as u32;
+            for (j, &v) in block.iter().enumerate() {
+                let key = abs_key(v);
+                if key >= threshold {
+                    survivors.push((u64::from(key) << 32) | u64::from(!(base + j as u32)));
+                }
+            }
+        }
+        if survivors.len() >= k {
+            break;
+        }
+        rank *= 4;
+    }
+    let c = survivors.len();
+    survivors.select_nth_unstable(c - k);
+    survivors[c - k..].iter().map(|&cell| !(cell as u32)).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -178,6 +270,100 @@ mod tests {
         let sg = SparseGradient::from_dense(&dense, Sparsifier::TopK(3), &mut rng());
         assert_eq!(sg.indices, vec![1, 3, 5]);
         assert_eq!(sg.values, vec![-5.0, 3.0, 4.0]);
+    }
+
+    #[test]
+    fn topk_empty_input_and_zero_k() {
+        for k in [0, 1, 5] {
+            let sg = SparseGradient::from_dense(&[], Sparsifier::TopK(k), &mut rng());
+            assert_eq!((sg.dense_dim, sg.k()), (0, 0));
+        }
+        let sg = SparseGradient::from_dense(&[1.0f32, -2.0, 3.0], Sparsifier::TopK(0), &mut rng());
+        assert_eq!((sg.dense_dim, sg.k()), (3, 0));
+    }
+
+    #[test]
+    fn topk_ties_keep_lower_index() {
+        // |v| = 2 four times (both signs) around the 3rd place: after the
+        // strict winner 9.0, the two lowest indices among the ties win.
+        let dense = vec![0.5f32, 2.0, -9.0, -2.0, 1.0, 2.0, -2.0, 0.0];
+        let sg = SparseGradient::from_dense(&dense, Sparsifier::TopK(3), &mut rng());
+        assert_eq!(sg.indices, vec![1, 2, 3]);
+        assert_eq!(sg.values, vec![2.0, -9.0, -2.0]);
+        // Same magnitudes with the signs swapped: the same index set.
+        let flipped: Vec<f32> = dense.iter().map(|v| -v).collect();
+        let sg = SparseGradient::from_dense(&flipped, Sparsifier::TopK(4), &mut rng());
+        assert_eq!(sg.indices, vec![1, 2, 3, 5]);
+    }
+
+    /// Reference ranking: a full sort by |v| descending under `total_cmp`
+    /// (independent of the selector's bit-key trick), then index ascending.
+    fn reference_ranking(dense: &[f32]) -> Vec<u32> {
+        let mut order: Vec<u32> = (0..dense.len() as u32).collect();
+        order.sort_by(|&a, &b| {
+            let abs = |i: u32| dense[i as usize].abs();
+            abs(b).total_cmp(&abs(a)).then(a.cmp(&b))
+        });
+        order
+    }
+
+    /// Top-k against the first k of `ranking`, indices and value bits.
+    fn assert_matches_reference(dense: &[f32], ranking: &[u32], k: usize) {
+        let sg = SparseGradient::from_dense(dense, Sparsifier::TopK(k), &mut rng());
+        let mut want = ranking[..k.min(ranking.len())].to_vec();
+        want.sort_unstable();
+        assert_eq!(sg.indices, want, "d = {}, k = {k}", dense.len());
+        let got: Vec<u32> = sg.values.iter().map(|v| v.to_bits()).collect();
+        let want: Vec<u32> = want.iter().map(|&i| dense[i as usize].to_bits()).collect();
+        assert_eq!(got, want, "values differ at d = {}, k = {k}", dense.len());
+    }
+
+    #[test]
+    fn topk_matches_reference_sort() {
+        let specials = [0.0f32, -0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN, -f32::NAN];
+        let mut r = SmallRng::seed_from_u64(0x70C4);
+        for case in 0..120 {
+            // Small, block-straddling and strided-sample sizes.
+            let d: usize = match case % 4 {
+                0 => r.gen_range(1..40),
+                1 => r.gen_range(900..2100),
+                _ => r.gen_range(4000..20000),
+            };
+            let mut dense: Vec<f32> = (0..d).map(|_| r.gen_range(-1.0f32..1.0)).collect();
+            for _ in 0..d / 8 + 1 {
+                let (i, j) = (r.gen_range(0..d), r.gen_range(0..d));
+                dense[i] = match r.gen_range(0..4u32) {
+                    0 => -dense[j],
+                    1 => dense[j],
+                    2 => specials[r.gen_range(0..specials.len())],
+                    _ => f32::from_bits(r.gen::<u32>()),
+                };
+            }
+            if case % 5 == 0 {
+                // Coarse magnitudes: large tie classes everywhere.
+                dense.iter_mut().for_each(|v| *v = (*v * 4.0).round() / 4.0);
+            }
+            let ranking = reference_ranking(&dense);
+            let frac = r.gen_range(1..d.max(2));
+            for k in [0, 1, frac, d / 100, d - 1, d, d + 5] {
+                assert_matches_reference(&dense, &ranking, k);
+            }
+        }
+    }
+
+    #[test]
+    fn topk_exact_when_sample_overestimates_threshold() {
+        // Large values exactly on the sample stride, small ones elsewhere:
+        // the first threshold admits fewer than k and must be lowered.
+        let d = 40_960;
+        let stride = d / TOPK_SAMPLE;
+        let dense: Vec<f32> = (0..d)
+            .map(|i| if i % stride == 0 { 10.0 + i as f32 } else { i as f32 / d as f32 })
+            .collect();
+        let ranking = reference_ranking(&dense);
+        for k in [500, 4096, 5000, 20_000] {
+            assert_matches_reference(&dense, &ranking, k);
+        }
     }
 
     #[test]

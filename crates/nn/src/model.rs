@@ -64,11 +64,19 @@ impl Model {
 
     /// The flat parameter vector θ.
     pub fn get_params(&self) -> Vec<f32> {
-        let mut out = Vec::with_capacity(self.param_count());
-        for layer in &self.layers {
-            layer.read_params(&mut out);
-        }
+        let mut out = Vec::new();
+        self.read_params_into(&mut out);
         out
+    }
+
+    /// Overwrites `out` with θ, reusing its allocation (no allocation once
+    /// `out` has held a vector of this model's size).
+    pub fn read_params_into(&self, out: &mut Vec<f32>) {
+        out.clear();
+        out.reserve(self.param_count());
+        for layer in &self.layers {
+            layer.read_params(out);
+        }
     }
 
     /// Overwrites θ from a flat vector (length must equal
@@ -169,6 +177,10 @@ mod tests {
         let doubled: Vec<f32> = p.iter().map(|v| v * 2.0).collect();
         m.set_params(&doubled);
         assert_eq!(m.get_params(), doubled);
+        // A buffer of another size (stale contents) is overwritten exactly.
+        let mut buf = vec![7.0f32; 500];
+        m.read_params_into(&mut buf);
+        assert_eq!(buf, doubled);
     }
 
     /// Finite-difference gradient check on the full MLP: the single most
