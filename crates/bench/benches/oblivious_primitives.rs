@@ -1,11 +1,15 @@
 //! Criterion microbench: the cost of obliviousness at the primitive level
 //! (o_select vs branch; bitonic network vs std unstable sort), plus the
-//! sort-kernel matrix (scalar reference vs batched vs batched+threads).
+//! sort-kernel matrix (scalar reference vs batched vs batched+threads),
+//! plus Algorithm 4's merge round and survivor compaction.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use olive_memsim::{NullTracer, TrackedBuf};
+use olive_oblivious::compact::ocompact_u64;
 use olive_oblivious::sort::bitonic_sort_pow2;
-use olive_oblivious::sort_kernel::{bitonic_sort_u64_pow2_with, SortKernel};
+use olive_oblivious::sort_kernel::{
+    bitonic_merge_u64_pow2_with_threads, bitonic_sort_u64_pow2_with, SortKernel,
+};
 use olive_oblivious::{o_scan_read, o_select};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -120,6 +124,52 @@ fn bench_sort_kernels(c: &mut Criterion) {
     group.finish();
 }
 
+/// Algorithm 4's two replacements for a full sort, single-threaded at the
+/// Grouped (h = 32, d = 18 010 → 2¹⁵) and paper-scale (2¹⁸) vector sizes:
+/// the final merge round over a bitonic input, and the compaction of `n/2`
+/// survivors spread one every other slot (shifts up to `n/2`, log₂ n
+/// levels). Each iteration refills one buffer instead of allocating, so
+/// the figure is the kernel plus one copy. Informational only — not on
+/// the `bench_gate` allowlist.
+fn bench_merge_and_compact(c: &mut Criterion) {
+    const FILL: u64 = 0xFFFF_FFFF_0000_0000;
+    let mut merge = c.benchmark_group("bitonic_merge");
+    merge.sample_size(10);
+    for n in [1usize << 15, 1 << 18] {
+        let mut rng = SmallRng::seed_from_u64(2);
+        let mut data: Vec<u64> = (0..n).map(|_| rng.gen()).collect();
+        data[..n / 4].sort_unstable();
+        data[n / 4..].sort_unstable_by(|a, b| b.cmp(a));
+        let mut buf = TrackedBuf::new(0, data.clone());
+        merge.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
+            b.iter(|| {
+                buf.as_mut_slice_untraced().copy_from_slice(&data);
+                bitonic_merge_u64_pow2_with_threads(&mut buf, 1, &mut NullTracer);
+                buf.as_slice_untraced()[0]
+            })
+        });
+    }
+    merge.finish();
+    let mut compact = c.benchmark_group("ocompact");
+    compact.sample_size(10);
+    for n in [1usize << 15, 1 << 18] {
+        let r = n / 2;
+        let mut data = vec![FILL; n];
+        for t in 0..r {
+            data[2 * t + 1] = ((t as u64) << 32) | t as u64;
+        }
+        let mut buf = TrackedBuf::new(0, data.clone());
+        compact.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
+            b.iter(|| {
+                buf.as_mut_slice_untraced().copy_from_slice(&data);
+                ocompact_u64(&mut buf, n, r, r as u32, FILL, &mut NullTracer);
+                buf.as_slice_untraced()[0]
+            })
+        });
+    }
+    compact.finish();
+}
+
 fn bench_scan(c: &mut Criterion) {
     let buf = TrackedBuf::new(0, (0..4096u64).collect::<Vec<_>>());
     c.bench_function("o_scan_read_4096", |b| {
@@ -127,5 +177,12 @@ fn bench_scan(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_select, bench_sort, bench_sort_kernels, bench_scan);
+criterion_group!(
+    benches,
+    bench_select,
+    bench_sort,
+    bench_sort_kernels,
+    bench_merge_and_compact,
+    bench_scan
+);
 criterion_main!(benches);

@@ -6,17 +6,29 @@
 //! 1. **initialization**: append one zero-valued cell per index `0..d`, so
 //!    every index is guaranteed present (and the output histogram of
 //!    indices is fixed);
-//! 2. **oblivious sort** by index (Batcher bitonic network);
+//! 2. **oblivious sort** by index. The paper Batcher-sorts all `nk + d`
+//!    cells; here only the uploads go through a full network (padded to
+//!    `next_pow2(nk)`), because the ramp of step 1 is public and already
+//!    in order: written descending behind the sorted uploads it makes the
+//!    vector bitonic, and the network's final merge round alone sorts it;
 //! 3. **oblivious folding**: one linear pass accumulating runs of equal
 //!    indices; every position is rewritten — either with the finalized
 //!    `(index, sum)` of a completed run or with the dummy `(M₀, 0)` — via
 //!    `o_mov`, so run boundaries (the index histogram!) stay hidden;
-//! 4. **oblivious sort** again: the `d` real survivors (one per index)
-//!    sort to the front in index order; take them.
+//! 4. **oblivious compaction** in place of the paper's second sort: the
+//!    `d` real survivors (one per index) already sit in index order, the
+//!    survivor of index `j` at most `nk` slots behind position `j`, so an
+//!    order-preserving compaction (`olive_oblivious::compact`, log₂ nk
+//!    shift levels) brings them to the front; take them.
 //!
-//! Fully oblivious (Proposition 5.2): both sorts are fixed networks and
-//! the fold is a fixed linear sweep. Complexity O((nk+d) log²(nk+d)) time,
-//! O(nk+d) space — the `k·d` product of the Baseline is gone.
+//! The sorted vector, and so the output, is bit for bit that of the
+//! paper's two full sorts (raw `u64` order is total), which a differential
+//! test pins. Fully oblivious (Proposition 5.2): the sort, merge and
+//! compaction are fixed schedules and the fold is a fixed linear sweep,
+//! so the trace is a function of `(nk, d)` only. Complexity
+//! O(nk log² nk + (nk+d) log(nk+d)) time, O(nk+d) space — the `k·d`
+//! product of the Baseline is gone, and the `d` term no longer pays the
+//! squared log of a full sort.
 //!
 //! Worked example (the paper's Appendix E, n=3, k=2, d=4):
 //!
@@ -39,9 +51,12 @@
 //! ```
 
 use olive_memsim::{Tracer, TrackedBuf};
+use olive_oblivious::compact::ocompact_u64;
 use olive_oblivious::primitives::Oblivious;
 use olive_oblivious::sort::next_pow2;
-use olive_oblivious::sort_kernel::bitonic_sort_u64_pow2_with_threads;
+use olive_oblivious::sort_kernel::{
+    bitonic_merge_u64_pow2_with_threads, bitonic_sort_u64_prefix_pow2_with_threads,
+};
 
 use crate::cell::{cell_index, cell_value, dummy_cell, make_cell};
 use crate::parallel::default_threads;
@@ -51,9 +66,10 @@ use super::linear::average_in_place;
 
 /// Computes the **un-averaged** dense sums via Algorithm 4, writing them
 /// into a fresh `G*` buffer which is returned for further (oblivious)
-/// processing. The trace depends only on `(cells.len(), d)` — the sorts
-/// run the process-default kernel (`OLIVE_SORT_KERNEL`), whose trace and
-/// output are identical to the scalar reference at every `threads` value
+/// processing. The trace depends only on `(cells.len(), d)` — the sort,
+/// merge and compaction run the process-default kernel
+/// (`OLIVE_SORT_KERNEL`), whose trace and output are identical to the
+/// scalar reference at every `threads` value
 /// (`olive_oblivious::sort_kernel`).
 pub(crate) fn sum_advanced<TR: Tracer>(
     cells: &[u64],
@@ -61,23 +77,61 @@ pub(crate) fn sum_advanced<TR: Tracer>(
     threads: usize,
     tr: &mut TR,
 ) -> TrackedBuf<f32> {
-    // Step 1: initialization — g ← g ∥ {(j, 0)} for j ∈ [d], then pad to a
-    // power of two with dummy cells (which carry the maximal index and
-    // sort behind everything real).
-    let total = cells.len() + d;
-    let padded = next_pow2(total);
+    let nk = cells.len();
+    let mut g = sorted_with_ramp(cells, d, threads, tr);
+    fold_runs(&mut g, tr);
+
+    // Step 4: the survivor of index j closes its run at j + (uploads with
+    // index ≤ j) — in index order, at most nk slots late, and only dummies
+    // between survivors — so an order-preserving compaction over the first
+    // nk + d cells brings the d survivors to the front.
+    ocompact_u64(&mut g, nk + d, nk, d as u32, dummy_cell(), tr);
+
+    take_survivors(&g, d, tr)
+}
+
+/// Steps 1–2: the `P = next_pow2(nk + d)`-cell vector of the uploads, the
+/// zero ramp `(j, 0)` for `j ∈ [d]` and dummy padding, sorted by raw `u64`
+/// (index-major, so by index).
+///
+/// Only the uploads need sorting: the first `q = next_pow2(nk)` cells (the
+/// uploads, padded with `u64::MAX`, which sorts behind every cell) go
+/// through a `q`-cell network, leaving the padding in `[nk, q)`. Then
+/// `[nk, P − d)` takes dummies and `[P − d, P)` the ramp written
+/// descending (`nk ≤ P − d`, so only padding is overwritten). The vector
+/// now rises through the uploads and falls through the dummies and the
+/// ramp — bitonic — and the final round of the network alone sorts it.
+/// Raw `u64` order is total, so the result equals a full sort of the same
+/// cells bit for bit.
+fn sorted_with_ramp<TR: Tracer>(
+    cells: &[u64],
+    d: usize,
+    threads: usize,
+    tr: &mut TR,
+) -> TrackedBuf<u64> {
+    let nk = cells.len();
+    let padded = next_pow2(nk + d);
+    let q = next_pow2(nk);
     let mut v = Vec::with_capacity(padded);
     v.extend_from_slice(cells);
-    v.extend((0..d as u32).map(|j| make_cell(j, 0.0)));
+    v.resize(q, u64::MAX);
     v.resize(padded, dummy_cell());
     let mut g = TrackedBuf::new(REGION_SCRATCH, v);
+    bitonic_sort_u64_prefix_pow2_with_threads(&mut g, q, threads, tr);
+    let ramp = padded - d;
+    for i in nk..ramp {
+        g.write(i, dummy_cell(), tr);
+    }
+    for i in ramp..padded {
+        g.write(i, make_cell((padded - 1 - i) as u32, 0.0), tr);
+    }
+    bitonic_merge_u64_pow2_with_threads(&mut g, threads, tr);
+    g
+}
 
-    // Step 2: oblivious sort by index (the packed u64 is index-major, so
-    // sorting by raw value is sorting by index).
-    bitonic_sort_u64_pow2_with_threads(&mut g, threads, tr);
-
-    // Step 3: oblivious folding (Algorithm 4 lines 6–14). The accumulator
-    // lives in registers; every pass writes position i−1 exactly once.
+/// Step 3: oblivious folding (Algorithm 4 lines 6–14). The accumulator
+/// lives in registers; every pass writes position i−1 exactly once.
+fn fold_runs<TR: Tracer>(g: &mut TrackedBuf<u64>, tr: &mut TR) {
     let first = g.read(0, tr);
     let mut acc_idx = cell_index(first);
     let mut acc_val = cell_value(first);
@@ -95,11 +149,10 @@ pub(crate) fn sum_advanced<TR: Tracer>(
     }
     let last = g.len() - 1;
     g.write(last, make_cell(acc_idx, acc_val), tr);
+}
 
-    // Step 4: oblivious sort again; the d real survivors lead.
-    bitonic_sort_u64_pow2_with_threads(&mut g, threads, tr);
-
-    // Emit G*: a fixed in-order read of the first d cells and write-out.
+/// Emits G*: a fixed in-order read of the first d cells and write-out.
+fn take_survivors<TR: Tracer>(g: &TrackedBuf<u64>, d: usize, tr: &mut TR) -> TrackedBuf<f32> {
     let mut gstar = TrackedBuf::<f32>::zeroed(REGION_G_STAR, d);
     for j in 0..d {
         let cell = g.read(j, tr);
@@ -138,9 +191,9 @@ pub fn aggregate_advanced_with_threads<TR: Tracer>(
 /// Streaming form of [`aggregate_advanced_with_threads`].
 ///
 /// Algorithm 4 is *inherently monolithic*: its obliviousness proof rests
-/// on one Batcher sort over the whole `nk + d` vector, so incoming chunks
+/// on one oblivious sort of the whole `nk + d` vector, so incoming chunks
 /// can only be **staged** (an untraced linear copy, exactly like the
-/// one-shot path's `concat_cells`) and the sort/fold/sort runs at
+/// one-shot path's `concat_cells`) and the sort/fold/compaction runs at
 /// [`AdvancedStreamer::finalize`]. Chunk boundaries therefore change
 /// neither the output bits nor the trace — but the enclave working set
 /// still grows with O(nk + d), which is exactly the paper's Figure 10
@@ -333,8 +386,95 @@ mod tests {
         // padding boundary: 16+64 → 128 cells vs 200+64 → 512 cells.
         assert!(t(1, 16, 64) < t(4, 50, 64));
         assert!(t(1, 16, 64) < t(1, 16, 256));
-        // Within one padding bucket the trace is *identical* — shape, not
-        // content: 16+64 and 32+64 both pad to 128 cells.
-        assert_eq!(t(1, 16, 64), t(2, 16, 64));
+        // The trace is a function of (nk, d) only — shape, not content,
+        // and not the n/k split: 1×16 and 2×8 uploads are both 16 cells.
+        assert_eq!(t(1, 16, 64), t(2, 8, 64));
+    }
+
+    /// Algorithm 4 with two full sorts over the `next_pow2(nk + d)`-cell
+    /// vector — the textbook form [`sum_advanced`] must match bit for bit.
+    fn sum_two_sorts(cells: &[u64], d: usize) -> Vec<f32> {
+        use olive_oblivious::sort_kernel::bitonic_sort_u64_pow2_with_threads;
+        let mut v = cells.to_vec();
+        v.extend((0..d as u32).map(|j| make_cell(j, 0.0)));
+        v.resize(next_pow2(cells.len() + d), dummy_cell());
+        let mut g = TrackedBuf::new(REGION_SCRATCH, v);
+        bitonic_sort_u64_pow2_with_threads(&mut g, 1, &mut NullTracer);
+        fold_runs(&mut g, &mut NullTracer);
+        bitonic_sort_u64_pow2_with_threads(&mut g, 1, &mut NullTracer);
+        take_survivors(&g, d, &mut NullTracer).into_inner()
+    }
+
+    /// Raw cells a hostile caller of the cell API could hand in: mostly
+    /// in-range indices, plus out-of-range ones from `d` up to `u32::MAX`
+    /// (the dummy index, here with non-zero values that sort *behind* the
+    /// dummy cell), and NaN, ±0 and ±∞ value bits. Indices repeat and come
+    /// unsorted.
+    fn hostile_cells(nk: usize, d: usize, seed: u64) -> Vec<u64> {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+        let specials = [
+            f32::NAN.to_bits(),
+            0x7fa0_0001, // a signalling NaN payload
+            0.0f32.to_bits(),
+            (-0.0f32).to_bits(),
+            f32::INFINITY.to_bits(),
+            f32::NEG_INFINITY.to_bits(),
+        ];
+        (0..nk)
+            .map(|_| {
+                let idx = match rng.gen_range(0..12u32) {
+                    0 => u32::MAX,
+                    1 => d as u32 + rng.gen_range(0..3u32), // just past the range
+                    2 => rng.gen_range(d as u32..=u32::MAX),
+                    _ => rng.gen_range(0..d.max(1) as u32),
+                };
+                let val = match rng.gen_range(0..6u32) {
+                    0 => specials[rng.gen_range(0..specials.len())],
+                    1 => rng.gen(),
+                    _ => rng.gen_range(-2.0f32..2.0).to_bits(),
+                };
+                ((idx as u64) << 32) | val as u64
+            })
+            .collect()
+    }
+
+    fn assert_matches_two_sorts(nk: usize, d: usize, threads: usize, seed: u64) {
+        let cells = hostile_cells(nk, d, seed);
+        // Steps 1–2 produce exactly the fully sorted vector.
+        let mut expected = cells.clone();
+        expected.extend((0..d as u32).map(|j| make_cell(j, 0.0)));
+        expected.resize(next_pow2(nk + d), dummy_cell());
+        expected.sort_unstable();
+        let sorted = sorted_with_ramp(&cells, d, threads, &mut NullTracer).into_inner();
+        assert!(sorted == expected, "sorted vector differs: nk={nk} d={d} seed={seed}");
+        // And the sums are bitwise those of the two-sort form.
+        let got = sum_advanced(&cells, d, threads, &mut NullTracer).into_inner();
+        let want = sum_two_sorts(&cells, d);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert!(bits(&got) == bits(&want), "sums differ: nk={nk} d={d} seed={seed}");
+    }
+
+    #[test]
+    fn matches_two_sorts_at_edge_shapes() {
+        for (nk, d) in [
+            (0usize, 1usize), // no uploads
+            (0, 64),          // nk + d = 2^6 with nothing to merge in
+            (1, 1),
+            (100, 28),     // nk + d = 2^7
+            (300, 40),     // nk > d
+            (4096, 4096),  // nk + d = 2^13, q = P/2
+            (5000, 26000), // next_pow2(nk) + d > P: the ramp overwrites prefix padding
+        ] {
+            assert_matches_two_sorts(nk, d, 2, nk as u64 ^ d as u64);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+        #[test]
+        fn prop_matches_two_sorts_bitwise(nk in 0usize..400, d in 1usize..300, seed in 0u64..u64::MAX) {
+            assert_matches_two_sorts(nk, d, 1, seed);
+        }
     }
 }

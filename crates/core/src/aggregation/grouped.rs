@@ -8,8 +8,10 @@
 //! per group (working set `hk + d` cells), and accumulate the group sums
 //! into a running total with an oblivious linear pass. Security is
 //! unchanged — every step is oblivious and the group schedule is public.
-//! Complexity O((n/h)·(hk+d)·log²(hk+d)); the optimal `h` balances sort
-//! size against per-group overhead and is data-independent (Figure 11).
+//! Complexity O((n/h)·(hk log² hk + (hk+d) log(hk+d))): each group sorts
+//! its `hk` uploads, then merges, folds and compacts `hk + d` cells
+//! ([`super::advanced`]); the optimal `h` balances sort size against that
+//! per-group `d` term and is data-independent (Figure 11).
 //!
 //! # Parallelism
 //!
@@ -27,8 +29,8 @@
 //!   left fold* over group partials in group order — exactly the serial
 //!   float-addition order — never first-come accumulation, and not a
 //!   binary combine tree (f32 addition is non-associative, so a tree
-//!   would change low bits vs. serial). The fold is O(G·d) but is linear
-//!   work next to the O((hk+d)log²) sorts it sequences.
+//!   would change low bits vs. serial). The fold is O(G·d), linear work
+//!   next to the per-group sums it sequences.
 //! * **The trace *multiset* is thread-count-invariant.** Parallel runs
 //!   reorder events across groups (sorts batch per wave, carries follow)
 //!   but add or drop none, so the combined adversary view touches exactly
@@ -376,10 +378,11 @@ mod tests {
 
     #[test]
     fn grouping_overhead_is_the_d_term() {
-        // Grouping pays the d-sized zero-seed vector once per group:
-        // with d ≫ k, h=1 (n groups) does far more work than h=n (one
-        // group) — the "lowering h too much results in a large amount of
-        // data loading" end of the Figure 11 U-curve.
+        // Grouping pays the d-sized zero-seed ramp once per group — its
+        // merge round, fold and compaction: with d ≫ k, h=1 (n groups)
+        // does far more work than h=n (one group) — the "lowering h too
+        // much results in a large amount of data loading" end of the
+        // Figure 11 U-curve.
         let updates = random_updates(8, 4, 256, 5);
         let trace_len = |h: usize| {
             let mut tr = RecordingTracer::new(Granularity::Element);

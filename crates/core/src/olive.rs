@@ -531,14 +531,6 @@ impl OliveSystem {
         }
     }
 
-    /// Recovery work (retries, relaunches, simulated backoff) the current
-    /// shard plane has performed; `None` on the monolithic path.
-    #[deprecated(note = "read `RoundReport::telemetry.recovery` instead — it is always \
-                populated (zeroed when unsharded) and scoped to the round")]
-    pub fn shard_recovery_stats(&self) -> Option<RecoveryStats> {
-        self.shard_rt.as_ref().map(|rt| rt.recovery_stats())
-    }
-
     /// The current global parameters θ_t.
     pub fn global_params(&self) -> Vec<f32> {
         self.server.params()

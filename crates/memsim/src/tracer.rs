@@ -132,6 +132,34 @@ pub trait Tracer {
         }
     }
 
+    /// Records a contiguous run of one oblivious-compaction level as **one
+    /// block event** (the order-preserving compaction's trace API).
+    ///
+    /// The run covers positions `first .. first + count` of a level that
+    /// shifts cells left by `stride` over `elem_bytes`-sized elements; each
+    /// position's footprint is, by definition, `read i, read i + stride,
+    /// write i` — the in-place map `new[i] ← f(old[i], old[i + stride])`
+    /// swept in ascending `i`. Like [`Tracer::touch_cex_span`] the event is a
+    /// pure function of its arguments: the default implementation expands
+    /// it into those per-element [`Tracer::touch`] calls, while
+    /// [`NullTracer`] overrides it with a no-op.
+    #[inline]
+    fn touch_compact_span(
+        &mut self,
+        region: RegionId,
+        elem_bytes: u32,
+        stride: u64,
+        first: u64,
+        count: u64,
+    ) {
+        let eb = elem_bytes as u64;
+        for i in first..first + count {
+            self.touch(region, i * eb, elem_bytes, Op::Read);
+            self.touch(region, (i + stride) * eb, elem_bytes, Op::Read);
+            self.touch(region, i * eb, elem_bytes, Op::Write);
+        }
+    }
+
     /// Whether this tracer keeps full event logs (used by code that can
     /// skip expensive bookkeeping otherwise).
     #[inline]
@@ -183,6 +211,9 @@ impl Tracer for NullTracer {
 
     #[inline(always)]
     fn touch_rw_stripe(&mut self, _r: RegionId, _eb: u32, _first: u64, _stride: u64, _count: u64) {}
+
+    #[inline(always)]
+    fn touch_compact_span(&mut self, _r: RegionId, _eb: u32, _stride: u64, _first: u64, _n: u64) {}
 }
 
 impl ParallelTracer for NullTracer {
@@ -576,6 +607,26 @@ mod tests {
             }
             assert_eq!(blocked.digest(), serial.digest(), "first {first} stride {stride}");
             assert_eq!(blocked.stats(), serial.stats());
+        }
+    }
+
+    #[test]
+    fn compact_span_expands_to_per_element_sequence() {
+        // The block event must be digest-identical to the per-access trace
+        // of the in-place level map it summarizes.
+        for (stride, first, count) in [(1u64, 0u64, 8u64), (4, 0, 12), (16, 5, 3), (2, 9, 1)] {
+            for granularity in [Granularity::Element, Granularity::Cacheline] {
+                let mut blocked = RecordingTracer::new(granularity);
+                blocked.touch_compact_span(4, 8, stride, first, count);
+                let mut scalar = RecordingTracer::new(granularity);
+                for i in first..first + count {
+                    scalar.touch(4, i * 8, 8, Op::Read);
+                    scalar.touch(4, (i + stride) * 8, 8, Op::Read);
+                    scalar.touch(4, i * 8, 8, Op::Write);
+                }
+                assert_eq!(blocked.digest(), scalar.digest(), "stride {stride} first {first}");
+                assert_eq!(blocked.stats(), scalar.stats());
+            }
         }
     }
 

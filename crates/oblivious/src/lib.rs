@@ -15,12 +15,18 @@
 //!   x86-64 and branch-free mask arithmetic elsewhere, over all the cell
 //!   types the aggregation algorithms use;
 //! * [`sort`] — Batcher's bitonic sorting network (the paper's oblivious
-//!   sort, used twice by Algorithm 4), operating on [`TrackedBuf`]s so the
+//!   sort, used by Algorithm 4), operating on [`TrackedBuf`]s so the
 //!   comparator schedule is visible to the trace checker;
 //! * [`sort_kernel`] — the batched, SIMD-friendly implementation of the
 //!   same network (precomputed keys, block-granular trace events,
 //!   branchless min/max sweeps, per-stage thread parallelism);
 //!   `OLIVE_SORT_KERNEL=scalar` falls back to the reference in [`sort`];
+//!   besides full sorts it runs prefix sorts and the final merge round
+//!   alone (Algorithm 4 sorts only the uploads and merges in the public
+//!   index ramp);
+//! * [`compact`] — order-preserving oblivious compaction of words that
+//!   carry their destination (Algorithm 4's last step, in place of a
+//!   second sort);
 //! * [`scan`] — oblivious linear-scan read/write of a secret index
 //!   (ZeroTrace's trusted-storage emulation, used by the ORAM stash and
 //!   position map);
@@ -35,6 +41,7 @@
 
 #![warn(missing_docs)]
 
+pub mod compact;
 pub mod meta_scan;
 pub mod primitives;
 pub mod scan;

@@ -7,8 +7,8 @@
 //! with the same mask-select accumulator idiom as [`crate::sort_kernel`]:
 //! no data-dependent control flow inside the loops, so LLVM
 //! autovectorizes them, and the AVX2/AVX-512 monomorphizations (selected
-//! once at runtime, like the sort kernel's) let it use 256-/512-bit
-//! compares on the same source.
+//! once per process by the same detection as the sort kernel's) let it
+//! use 256-/512-bit compares on the same source.
 //!
 //! The scans are *host-side* helpers for the batched ORAM kernel: the
 //! modeled enclave trace is emitted canonically by the caller
@@ -17,35 +17,6 @@
 //! not [`TrackedBuf`]s.
 //!
 //! [`TrackedBuf`]: olive_memsim::TrackedBuf
-
-use std::sync::OnceLock;
-
-/// Instruction sets the scans are monomorphized for (detected once per
-/// process, exactly like the sort kernel's dispatch).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Isa {
-    Portable,
-    #[cfg(target_arch = "x86_64")]
-    Avx2,
-    #[cfg(target_arch = "x86_64")]
-    Avx512,
-}
-
-fn isa() -> Isa {
-    static LEVEL: OnceLock<Isa> = OnceLock::new();
-    *LEVEL.get_or_init(|| {
-        #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("avx512f") {
-                return Isa::Avx512;
-            }
-            if std::arch::is_x86_feature_detected!("avx2") {
-                return Isa::Avx2;
-            }
-        }
-        Isa::Portable
-    })
-}
 
 // ---------------------------------------------------------------------------
 // Scan bodies (branchless mask-select sweeps)
@@ -123,10 +94,12 @@ fn pick_eligible_body(depth: &[i32], level: i32, out: &mut [u32]) -> usize {
 // ISA monomorphizations + dispatch
 // ---------------------------------------------------------------------------
 
+/// Declares the portable, AVX2 and AVX-512 monomorphizations of a safe
+/// kernel body (shared with [`crate::compact`]).
 macro_rules! kernel_monos {
     ($body:ident, $portable:ident, $avx2:ident, $avx512:ident,
      fn($($arg:ident: $ty:ty),*) -> $ret:ty) => {
-        /// Portable monomorphization of the scan body.
+        /// Portable monomorphization of the kernel body.
         fn $portable($($arg: $ty),*) -> $ret {
             $body($($arg),*)
         }
@@ -142,7 +115,7 @@ macro_rules! kernel_monos {
             $body($($arg),*)
         }
 
-        /// AVX-512 monomorphization (`vplzcntd`, wide mask compares).
+        /// AVX-512 monomorphization (512-bit compares + mask selects).
         ///
         /// # Safety
         ///
@@ -184,19 +157,25 @@ kernel_monos!(
     fn(depth: &[i32], level: i32, out: &mut [u32]) -> usize
 );
 
+pub(crate) use kernel_monos;
+
+/// Calls the monomorphization of a `kernel_monos!` body that matches the
+/// process's detected ISA ([`crate::sort_kernel`]'s one-time detection).
 macro_rules! isa_dispatch {
     ($portable:ident, $avx2:ident, $avx512:ident, ($($arg:expr),*)) => {
-        match isa() {
-            Isa::Portable => $portable($($arg),*),
+        match $crate::sort_kernel::isa() {
+            $crate::sort_kernel::Isa::Portable => $portable($($arg),*),
             // SAFETY: the wider monomorphizations run only after feature
             // detection; the bodies themselves are safe code.
             #[cfg(target_arch = "x86_64")]
-            Isa::Avx2 => unsafe { $avx2($($arg),*) },
+            $crate::sort_kernel::Isa::Avx2 => unsafe { $avx2($($arg),*) },
             #[cfg(target_arch = "x86_64")]
-            Isa::Avx512 => unsafe { $avx512($($arg),*) },
+            $crate::sort_kernel::Isa::Avx512 => unsafe { $avx512($($arg),*) },
         }
     };
 }
+
+pub(crate) use isa_dispatch;
 
 /// [`key_scan_body`] at the detected ISA width.
 #[inline]

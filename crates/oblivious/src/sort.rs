@@ -29,10 +29,28 @@ where
 {
     let n = buf.len();
     assert!(n.is_power_of_two(), "bitonic_sort_pow2 requires power-of-two length, got {n}");
+    bitonic_rounds(buf, n, 2, key, tr);
+}
+
+/// Runs rounds `k = k_first, 2·k_first, …, n` of the `n`-cell network over
+/// `buf[0..n]` (`n` and `k_first` powers of two): `k_first = 2` sorts the
+/// prefix, `k_first = n` merges a bitonic prefix (non-decreasing then
+/// non-increasing) with log₂ n stages instead of log₂ n·(log₂ n + 1)/2.
+pub(crate) fn bitonic_rounds<T, K, TR>(
+    buf: &mut TrackedBuf<T>,
+    n: usize,
+    k_first: usize,
+    key: K,
+    tr: &mut TR,
+) where
+    T: Oblivious,
+    K: Fn(&T) -> u64,
+    TR: Tracer,
+{
     if n <= 1 {
         return;
     }
-    let mut k = 2;
+    let mut k = k_first;
     while k <= n {
         let mut j = k / 2;
         while j > 0 {

@@ -36,6 +36,11 @@
 //!    canonically by the caller) — a strictly stronger invariant than the
 //!    per-worker trace forking the grouped aggregation needs.
 //!
+//! Besides full sorts, the raw-`u64` entry points run two slices of the
+//! same network: a sort of a power-of-two *prefix* of the buffer, and the
+//! final `k = n` round alone, which sorts any bitonic input (Algorithm 4
+//! sorts only its uploads and merges in the public index ramp this way).
+//!
 //! `OLIVE_SORT_KERNEL=scalar` forces every entry point here back onto the
 //! scalar reference network for differential testing; the CI tier-1 job
 //! runs the whole suite that way.
@@ -45,7 +50,7 @@ use std::sync::{Barrier, OnceLock};
 use olive_memsim::{default_threads, Tracer, TrackedBuf};
 
 use crate::primitives::Oblivious;
-use crate::sort::bitonic_sort_pow2;
+use crate::sort::{bitonic_rounds, bitonic_sort_pow2};
 
 /// Comparators summarized by one block trace event (fixed, so the event
 /// schedule — like the network itself — is a pure function of `n`).
@@ -174,17 +179,24 @@ impl InlinePayload for (u32, f32) {
 // Canonical trace emission
 // ---------------------------------------------------------------------------
 
-/// Emits the full comparator schedule of an `n`-element bitonic network as
-/// block events: stages in `(k, j)` order, comparators in ascending order
-/// within each stage, [`TRACE_BLOCK`] comparators per event. Expansion
-/// reproduces the scalar network's access sequence exactly (see
-/// [`Tracer::touch_cex_span`]).
-fn emit_network_trace<TR: Tracer>(region: u32, elem_bytes: u32, n: usize, tr: &mut TR) {
+/// Emits rounds `k = k_first … n` of an `n`-element bitonic network's
+/// comparator schedule as block events (`k_first = 2` is the full sort,
+/// `k_first = n` the final merge): stages in `(k, j)` order, comparators in
+/// ascending order within each stage, [`TRACE_BLOCK`] comparators per
+/// event. Expansion reproduces the scalar network's access sequence
+/// exactly (see [`Tracer::touch_cex_span`]).
+fn emit_network_trace<TR: Tracer>(
+    region: u32,
+    elem_bytes: u32,
+    n: usize,
+    k_first: usize,
+    tr: &mut TR,
+) {
     if n <= 1 {
         return;
     }
     let half = (n / 2) as u64;
-    let mut k = 2;
+    let mut k = k_first;
     while k <= n {
         let mut j = k / 2;
         while j > 0 {
@@ -209,7 +221,7 @@ fn emit_network_trace<TR: Tracer>(region: u32, elem_bytes: u32, n: usize, tr: &m
 /// the wider ones let LLVM use 256-/512-bit compare+select on the same
 /// source loops.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Isa {
+pub(crate) enum Isa {
     Portable,
     #[cfg(target_arch = "x86_64")]
     Avx2,
@@ -217,7 +229,7 @@ enum Isa {
     Avx512,
 }
 
-fn isa() -> Isa {
+pub(crate) fn isa() -> Isa {
     static LEVEL: OnceLock<Isa> = OnceLock::new();
     *LEVEL.get_or_init(|| {
         #[cfg(target_arch = "x86_64")]
@@ -266,11 +278,12 @@ enum Pass {
     },
 }
 
-/// The physical pass schedule for an `n`-element sort (a pure function of
-/// `n`, like everything else about the network).
-fn pass_schedule(n: usize) -> Vec<Pass> {
+/// The physical pass schedule of rounds `k = k_first … n` of an
+/// `n`-element network (a pure function of `(n, k_first)`, like everything
+/// else about the network).
+fn pass_schedule(n: usize, k_first: usize) -> Vec<Pass> {
     let mut passes = Vec::new();
-    let mut k = 2;
+    let mut k = k_first;
     while k <= n {
         let mut j = k / 2;
         while j >= 8 {
@@ -552,20 +565,26 @@ struct SendPtr<W>(*mut W);
 unsafe impl<W> Send for SendPtr<W> {}
 unsafe impl<W> Sync for SendPtr<W> {}
 
-/// Runs every pass of the physical schedule over `v`, splitting each
-/// pass's work-unit range across `threads` workers with a barrier between
-/// passes. `run` executes one unit range of one pass.
+/// Runs every pass of rounds `k_first … v.len()` of the physical schedule
+/// over `v`, splitting each pass's work-unit range across `threads`
+/// workers with a barrier between passes. `run` executes one unit range of
+/// one pass.
 ///
 /// The output is identical for every thread count: pass results do not
 /// depend on intra-pass execution order (units of a pass touch disjoint
 /// elements), and the barrier orders passes.
-fn sort_stages<W: Send>(v: &mut [W], threads: usize, run: fn(*mut W, Pass, usize, usize)) {
+fn sort_stages<W: Send>(
+    v: &mut [W],
+    k_first: usize,
+    threads: usize,
+    run: fn(*mut W, Pass, usize, usize),
+) {
     let n = v.len();
     debug_assert!(n.is_power_of_two());
     if n <= 1 {
         return;
     }
-    let passes = pass_schedule(n);
+    let passes = pass_schedule(n, k_first);
     let workers = if threads <= 1 || n < MIN_PARALLEL_N { 1 } else { threads.min(n / 2) };
     if workers == 1 {
         for &pass in &passes {
@@ -624,16 +643,79 @@ pub fn bitonic_sort_u64_pow2_with<TR: Tracer>(
     threads: usize,
     tr: &mut TR,
 ) {
+    let n = buf.len();
+    assert!(n.is_power_of_two(), "bitonic sort requires power-of-two length, got {n}");
+    network_u64(buf, n, 2, kernel, threads, tr)
+}
+
+/// Sorts the first `len` cells of `buf` (`len` a power of two, at most
+/// `buf.len()`) by raw value with the process-default kernel, leaving the
+/// rest untouched. The trace is a `len`-cell network over offsets
+/// `0..len`, so it depends on `len` only.
+pub fn bitonic_sort_u64_prefix_pow2_with_threads<TR: Tracer>(
+    buf: &mut TrackedBuf<u64>,
+    len: usize,
+    threads: usize,
+    tr: &mut TR,
+) {
+    bitonic_sort_u64_prefix_pow2_with(buf, len, sort_kernel(), threads, tr)
+}
+
+/// [`bitonic_sort_u64_prefix_pow2_with_threads`] with an explicit kernel.
+pub fn bitonic_sort_u64_prefix_pow2_with<TR: Tracer>(
+    buf: &mut TrackedBuf<u64>,
+    len: usize,
+    kernel: SortKernel,
+    threads: usize,
+    tr: &mut TR,
+) {
+    assert!(len.is_power_of_two() && len <= buf.len(), "bad prefix length {len}");
+    network_u64(buf, len, 2, kernel, threads, tr)
+}
+
+/// Sorts a **bitonic** `buf` (non-decreasing then non-increasing, length a
+/// power of two) by raw value with the process-default kernel: only the
+/// final `k = n` round of the network (log₂ n stages), with the trace of
+/// that round only.
+pub fn bitonic_merge_u64_pow2_with_threads<TR: Tracer>(
+    buf: &mut TrackedBuf<u64>,
+    threads: usize,
+    tr: &mut TR,
+) {
+    bitonic_merge_u64_pow2_with(buf, sort_kernel(), threads, tr)
+}
+
+/// [`bitonic_merge_u64_pow2_with_threads`] with an explicit kernel.
+pub fn bitonic_merge_u64_pow2_with<TR: Tracer>(
+    buf: &mut TrackedBuf<u64>,
+    kernel: SortKernel,
+    threads: usize,
+    tr: &mut TR,
+) {
+    let n = buf.len();
+    assert!(n.is_power_of_two(), "bitonic merge requires power-of-two length, got {n}");
+    network_u64(buf, n, n, kernel, threads, tr)
+}
+
+/// Rounds `k = k_first … n` of the `n`-cell raw-value network over
+/// `buf[0..n]`, on either kernel.
+fn network_u64<TR: Tracer>(
+    buf: &mut TrackedBuf<u64>,
+    n: usize,
+    k_first: usize,
+    kernel: SortKernel,
+    threads: usize,
+    tr: &mut TR,
+) {
     match kernel {
-        SortKernel::Scalar => bitonic_sort_pow2(buf, |c| *c, tr),
+        SortKernel::Scalar => bitonic_rounds(buf, n, k_first, |c| *c, tr),
         SortKernel::Batched => {
-            let n = buf.len();
-            assert!(n.is_power_of_two(), "bitonic sort requires power-of-two length, got {n}");
             if n <= 1 {
                 return;
             }
-            emit_network_trace(buf.region(), core::mem::size_of::<u64>() as u32, n, tr);
-            sort_stages(buf.as_mut_slice_untraced(), threads, run_pass_u64);
+            emit_network_trace(buf.region(), core::mem::size_of::<u64>() as u32, n, k_first, tr);
+            let v = &mut buf.as_mut_slice_untraced()[..n];
+            sort_stages(v, k_first, threads, run_pass_u64);
         }
     }
 }
@@ -672,11 +754,11 @@ pub fn bitonic_sort_keyed_pow2_with<T, K, TR>(
             if n <= 1 {
                 return;
             }
-            emit_network_trace(buf.region(), core::mem::size_of::<T>() as u32, n, tr);
+            emit_network_trace(buf.region(), core::mem::size_of::<T>() as u32, n, 2, tr);
             let data = buf.as_mut_slice_untraced();
             let mut packed: Vec<u128> =
                 data.iter().map(|x| ((key(x) as u128) << 64) | x.to_word() as u128).collect();
-            sort_stages(&mut packed, threads, run_pass_u128);
+            sort_stages(&mut packed, 2, threads, run_pass_u128);
             for (dst, w) in data.iter_mut().zip(packed) {
                 *dst = T::from_word(w as u64);
             }
@@ -702,8 +784,8 @@ pub fn bitonic_sort_tagged_pow2_with<TR: Tracer>(
             if n <= 1 {
                 return;
             }
-            emit_network_trace(buf.region(), core::mem::size_of::<u128>() as u32, n, tr);
-            sort_stages(buf.as_mut_slice_untraced(), threads, run_pass_u128);
+            emit_network_trace(buf.region(), core::mem::size_of::<u128>() as u32, n, 2, tr);
+            sort_stages(buf.as_mut_slice_untraced(), 2, threads, run_pass_u128);
         }
     }
 }

@@ -5,8 +5,8 @@
 
 use olive_memsim::{assert_oblivious, Granularity, NullTracer, RecordingTracer, TrackedBuf};
 use olive_oblivious::sort_kernel::{
-    bitonic_sort_keyed_pow2_with, bitonic_sort_tagged_pow2_with, bitonic_sort_u64_pow2_with,
-    SortKernel,
+    bitonic_merge_u64_pow2_with, bitonic_sort_keyed_pow2_with, bitonic_sort_tagged_pow2_with,
+    bitonic_sort_u64_pow2_with, bitonic_sort_u64_prefix_pow2_with, SortKernel,
 };
 use olive_oblivious::{bitonic_sort_pow2, o_select};
 use rand::rngs::SmallRng;
@@ -190,6 +190,86 @@ fn comparator_count_matches_batcher_under_block_events() {
             bitonic_sort_u64_pow2_with(&mut buf, SortKernel::Batched, threads, &mut tr);
             assert_eq!(tr.stats().reads, comparators * 2, "n={n} threads={threads}");
             assert_eq!(tr.stats().writes, comparators * 2, "n={n} threads={threads}");
+        }
+    }
+}
+
+/// A bitonic word vector: a sorted run, then a reverse-sorted run, with
+/// the turning point anywhere (Algorithm 4's uploads-then-ramp layout).
+fn bitonic_words(n: usize, rise: usize, seed: u64) -> Vec<u64> {
+    let mut v = clustered_words(n, seed);
+    v[..rise].sort_unstable();
+    v[rise..].sort_unstable_by(|a, b| b.cmp(a));
+    v
+}
+
+#[test]
+fn merge_sorts_bitonic_input_identically_on_both_kernels() {
+    for n in [1usize, 2, 8, 256, 8192] {
+        for rise in [0, n / 3, n / 2, n] {
+            let data = bitonic_words(n, rise, n as u64 ^ rise as u64);
+            let mut expected = data.clone();
+            expected.sort_unstable();
+            for granularity in [Granularity::Element, Granularity::Cacheline] {
+                let mut scalar_tr = RecordingTracer::new(granularity);
+                let mut scalar = TrackedBuf::new(6, data.clone());
+                bitonic_merge_u64_pow2_with(&mut scalar, SortKernel::Scalar, 1, &mut scalar_tr);
+                assert_eq!(scalar.as_slice_untraced(), &expected[..], "n={n} rise={rise}");
+                for threads in THREAD_COUNTS {
+                    let mut batched_tr = RecordingTracer::new(granularity);
+                    let mut batched = TrackedBuf::new(6, data.clone());
+                    bitonic_merge_u64_pow2_with(
+                        &mut batched,
+                        SortKernel::Batched,
+                        threads,
+                        &mut batched_tr,
+                    );
+                    assert_eq!(batched.as_slice_untraced(), &expected[..], "n={n} rise={rise}");
+                    assert_eq!(
+                        batched_tr.digest(),
+                        scalar_tr.digest(),
+                        "n={n} {granularity:?} threads={threads}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn merge_runs_only_the_final_round() {
+    // log2(n) stages of n/2 comparators, each 2 reads + 2 writes.
+    for n in [64u64, 1024, 8192] {
+        let logn = n.trailing_zeros() as u64;
+        for kernel in [SortKernel::Scalar, SortKernel::Batched] {
+            let mut tr = RecordingTracer::new(Granularity::Element);
+            let mut buf = TrackedBuf::new(0, (0..n).collect::<Vec<u64>>());
+            bitonic_merge_u64_pow2_with(&mut buf, kernel, 2, &mut tr);
+            assert_eq!(tr.stats().reads, logn * n / 2 * 2, "n={n} {kernel:?}");
+            assert_eq!(tr.stats().writes, logn * n / 2 * 2, "n={n} {kernel:?}");
+        }
+    }
+}
+
+#[test]
+fn prefix_sort_touches_only_the_prefix() {
+    // A prefix sort is a full sort of the first `len` cells: same output,
+    // same trace (same region, offsets 0..len), the tail untouched.
+    let data = random_words(4096, 13);
+    for len in [1usize, 64, 1024] {
+        let mut expected = data.clone();
+        expected[..len].sort_unstable();
+        let mut full_tr = RecordingTracer::new(Granularity::Element);
+        let mut full = TrackedBuf::new(7, data[..len].to_vec());
+        bitonic_sort_u64_pow2_with(&mut full, SortKernel::Scalar, 1, &mut full_tr);
+        for kernel in [SortKernel::Scalar, SortKernel::Batched] {
+            for threads in THREAD_COUNTS {
+                let mut tr = RecordingTracer::new(Granularity::Element);
+                let mut buf = TrackedBuf::new(7, data.clone());
+                bitonic_sort_u64_prefix_pow2_with(&mut buf, len, kernel, threads, &mut tr);
+                assert_eq!(buf.as_slice_untraced(), &expected[..], "len={len} {kernel:?}");
+                assert_eq!(tr.digest(), full_tr.digest(), "len={len} {kernel:?} t={threads}");
+            }
         }
     }
 }

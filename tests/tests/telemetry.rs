@@ -128,10 +128,10 @@ fn oram_rounds_emit_stash_and_eviction_counters() {
     );
 }
 
-/// The `RoundReport` summary replaces the old `shard_recovery_stats()`
-/// side channel: unsharded rounds carry an explicit zeroed recovery
-/// summary (not an absent one), sharded chaos rounds a non-zero one, and
-/// the chunk/checkpoint counts always reflect the round that ran.
+/// The `RoundReport` summary is the one place recovery work is read:
+/// unsharded rounds carry an explicit zeroed recovery summary (not an
+/// absent one), sharded chaos rounds a non-zero one, and the
+/// chunk/checkpoint counts always reflect the round that ran.
 #[test]
 fn round_report_telemetry_summary_is_always_populated() {
     let kind = AggregatorKind::Advanced;
